@@ -98,6 +98,8 @@ class FrameHub {
    public:
     void send(net::NetMessage msg);
     std::optional<net::ControlEvent> poll_control();
+    /// Control events queued but not yet polled.
+    std::size_t pending_control() const { return control_.size(); }
 
     /// Invoked (from the hub's broadcast path) after control events become
     /// available via poll_control(), and once when the hub shuts the control

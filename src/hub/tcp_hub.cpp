@@ -113,8 +113,13 @@ struct HubTcpServer::Session {
   std::shared_ptr<FrameHub::ClientPort> client_port;
   /// First evict wins; everything downstream of the exchange is idempotent.
   std::atomic<bool> dead{false};
-  /// Collapses ready-callback storms into at most one queued drain job.
+  /// Set while a drain job is queued or running, so at most one worker
+  /// drains this session's queue at a time (hold-then-release; see
+  /// drain_display). Clearing it before the drain would let a delivery
+  /// landing mid-drain start a second job that pops the next frame and
+  /// races the first to the socket, reordering steps.
   std::atomic<bool> drain_scheduled{false};
+  /// The same rule for the renderer's control queue (drain_renderer_control).
   std::atomic<bool> control_scheduled{false};
   /// v4 capability: frames keep their depth plane on the way out. Written
   /// once in handle_hello before the first drain, read by drain jobs.
@@ -393,36 +398,49 @@ void HubTcpServer::schedule_drain(const std::shared_ptr<Session>& session) {
 }
 
 void HubTcpServer::drain_display(const std::shared_ptr<Session>& session) {
-  // Clear-then-drain: a delivery landing after the clear schedules a fresh
-  // job; one landing before it is picked up by this loop. No lost wakeups.
-  session->drain_scheduled.store(false);
+  // Hold-then-release: drain_scheduled stays set for the whole drain, so a
+  // delivery landing mid-drain finds it set and leaves the frame to this
+  // loop instead of starting a second, concurrent drain (two workers
+  // popping consecutive frames would race to the socket and could send
+  // step k+1 before step k). Only once the queue is empty is the flag
+  // released; the re-check after the release catches a delivery or close
+  // that found it still set, so no wakeup is lost. Eviction paths return
+  // holding the flag: the session is dead and schedules nothing more.
   if (session->dead.load()) return;
   auto port = session->client_port;
   if (!port) return;
   const bool wants_depth = session->wants_depth.load();
-  while (auto msg = port->try_next()) {
-    try {
-      session->conn->send_message(outbound_frame(*msg, wants_depth));
-    } catch (const net::TimeoutError&) {
-      // Zero bytes accepted within the deadline: the viewer stopped
-      // reading. Evict it instead of letting it pin a worker.
-      stalled_evictions_ctr().add(1);
-      evict(session);
-      return;
-    } catch (const net::SendDeadlineError&) {
-      // Same stall, caught mid-frame: the connection is already shut
-      // (stream desynchronized), but the cause is still a stalled reader.
-      stalled_evictions_ctr().add(1);
-      evict(session);
-      return;
-    } catch (const std::exception&) {
+  for (;;) {
+    while (auto msg = port->try_next()) {
+      try {
+        session->conn->send_message(outbound_frame(*msg, wants_depth));
+      } catch (const net::TimeoutError&) {
+        // Zero bytes accepted within the deadline: the viewer stopped
+        // reading. Evict it instead of letting it pin a worker.
+        stalled_evictions_ctr().add(1);
+        evict(session);
+        return;
+      } catch (const net::SendDeadlineError&) {
+        // Same stall, caught mid-frame: the connection is already shut
+        // (stream desynchronized), but the cause is still a stalled reader.
+        stalled_evictions_ctr().add(1);
+        evict(session);
+        return;
+      } catch (const std::exception&) {
+        evict(session);
+        return;
+      }
+    }
+    // Closed and fully flushed (hub shutdown, reap, or reconnect takeover):
+    // this drain is the last act of the session.
+    if (port->closed() && port->buffered() == 0) {
       evict(session);
       return;
     }
+    session->drain_scheduled.store(false);
+    if (port->buffered() == 0 && !port->closed()) return;
+    if (session->drain_scheduled.exchange(true)) return;  // another job has it
   }
-  // Closed and fully flushed (hub shutdown, reap, or reconnect takeover):
-  // this drain is the last act of the session.
-  if (port->closed() && port->buffered() == 0) evict(session);
 }
 
 void HubTcpServer::schedule_control_drain(
@@ -435,20 +453,27 @@ void HubTcpServer::schedule_control_drain(
 
 void HubTcpServer::drain_renderer_control(
     const std::shared_ptr<Session>& session) {
-  session->control_scheduled.store(false);
+  // Hold-then-release, as in drain_display: one drain per renderer at a
+  // time keeps control events (kSetView, kStop, ...) in the order viewers
+  // sent them.
   if (session->dead.load()) return;
   auto port = session->renderer_port;
   if (!port) return;
-  while (auto event = port->poll_control()) {
-    NetMessage msg;
-    msg.type = MsgType::kControl;
-    msg.payload = event->serialize();
-    try {
-      session->conn->send_message(msg);
-    } catch (const std::exception&) {
-      evict(session);
-      return;
+  for (;;) {
+    while (auto event = port->poll_control()) {
+      NetMessage msg;
+      msg.type = MsgType::kControl;
+      msg.payload = event->serialize();
+      try {
+        session->conn->send_message(msg);
+      } catch (const std::exception&) {
+        evict(session);
+        return;
+      }
     }
+    session->control_scheduled.store(false);
+    if (port->pending_control() == 0) return;
+    if (session->control_scheduled.exchange(true)) return;
   }
 }
 
@@ -748,7 +773,9 @@ HubTcpViewer::HubTcpViewer(int port, Options options)
   retry_rng_ = util::Rng(util::splitmix64(jitter_seed));
   if (options_.auto_reconnect) {
     // First contact under the policy too: an injected refused connect (or a
-    // hub still starting up) is ridden out here rather than thrown.
+    // hub still starting up) is ridden out here rather than thrown, and so
+    // is a hello-ack cut mid-frame or timed out — the same desynchronized
+    // stream a reconnect recovers from later in the session.
     fault::Backoff backoff(options_.retry, retry_rng_.fork());
     std::exception_ptr last;
     std::shared_ptr<TcpConnection> conn;
@@ -756,6 +783,10 @@ HubTcpViewer::HubTcpViewer(int port, Options options)
       try {
         conn = connect_and_handshake();
       } catch (const net::SocketError&) {
+        last = std::current_exception();
+      } catch (const net::WireError&) {
+        last = std::current_exception();
+      } catch (const net::TimeoutError&) {
         last = std::current_exception();
       }
     }

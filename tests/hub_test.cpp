@@ -948,6 +948,54 @@ TEST(HubChaos, LatencyChaosFanOutStaysLossless) {
   server.shutdown();
 }
 
+TEST(HubChaos, LatencyChaosControlEventsReachRendererInOrder) {
+  // Control path of the epoll hub under latency chaos: a burst of kSetView
+  // events from one viewer must reach the renderer complete and in the
+  // order sent, however the worker pool interleaves the control drains.
+  std::uint64_t seed = 1;
+  if (const char* env = std::getenv("TVVIZ_FAULT_SEED"))
+    seed = std::strtoull(env, nullptr, 10);
+  fault::ScopedFaultPlan scoped(
+      fault::FaultPlan::latency_chaos(seed, /*rate=*/0.5, /*max_ms=*/2.0));
+
+  HubConfig config;
+  config.tcp_workers = 4;
+  hub::HubTcpServer server(0, config);
+  hub::HubTcpViewer viewer(server.port());
+  net::TcpRendererLink renderer(server.port());
+
+  // The renderer's hello is handled asynchronously: prime with kStart until
+  // one reaches it, so the burst below is broadcast to a registered port.
+  net::ControlEvent start;
+  start.kind = net::ControlKind::kStart;
+  ASSERT_TRUE(eventually([&] {
+    viewer.send_control(start);
+    return renderer.poll_control().has_value();
+  }));
+
+  constexpr int kEvents = 40;
+  for (int i = 0; i < kEvents; ++i) {
+    net::ControlEvent view;
+    view.kind = net::ControlKind::kSetView;
+    view.azimuth = i;
+    viewer.send_control(view);
+  }
+  std::vector<int> order;
+  EXPECT_TRUE(eventually([&] {
+    while (auto e = renderer.poll_control())
+      if (e->kind == net::ControlKind::kSetView)
+        order.push_back(static_cast<int>(e->azimuth));
+    return order.size() >= static_cast<std::size_t>(kEvents);
+  })) << "renderer got " << order.size() << " of " << kEvents << " events";
+  std::vector<int> expected(kEvents);
+  for (int i = 0; i < kEvents; ++i) expected[i] = i;
+  EXPECT_EQ(order, expected);
+
+  viewer.close();
+  renderer.close();
+  server.shutdown();
+}
+
 TEST(HubChaos, DropChaosAutoReconnectViewerCollectsEveryStep) {
   // Probabilistic connection drops on every send: connections (including
   // reconnected ones) keep dying mid-stream, and the auto-reconnect viewer
